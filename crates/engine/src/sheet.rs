@@ -77,8 +77,6 @@ pub struct SheetEngine {
     evaluator: Evaluator,
     /// WAL + paged image; `None` for an in-memory engine.
     durable: Option<DurableStore>,
-    /// Worker budget for wave-parallel recomputation (≥ 1).
-    recompute_threads: usize,
     /// Cells recomputed since the engine was created (includes cells
     /// marked `#CIRC!`); lets tests and benches observe recompute scope.
     cells_recomputed: u64,
@@ -138,10 +136,9 @@ impl CellReader for EngineReader<'_> {
     }
 }
 
-/// Cache-free reader for wave workers: each worker reads the hybrid
-/// translator directly, so parallel evaluation never contends on the
-/// shared LRU mutex. The cache is read-through, so values are identical
-/// with or without it.
+/// Cache-free reader for wave evaluation: reads go straight to the hybrid
+/// translator, skipping the shared LRU mutex and its recency churn. The
+/// cache is read-through, so values are identical with or without it.
 struct SheetOnlyReader<'a> {
     sheet: &'a HybridSheet,
 }
@@ -171,11 +168,6 @@ impl CellReader for SheetOnlyReader<'_> {
 /// used instead of per-cell evaluation.
 const BATCH_MIN: usize = 16;
 
-/// Minimum per-cell evaluations in a wave before spawning workers pays
-/// for itself (chain-shaped cascades produce thousands of 1-cell waves;
-/// those must not pay thread spawn overhead).
-const PAR_MIN: usize = 64;
-
 impl SheetEngine {
     pub fn new() -> Self {
         Self::with_posmap(PosMapKind::default())
@@ -191,7 +183,6 @@ impl SheetEngine {
             composites: HashMap::new(),
             evaluator: Evaluator::new(),
             durable: None,
-            recompute_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             cells_recomputed: 0,
             scalar_recompute: false,
             shift_recompute_all: false,
@@ -217,13 +208,6 @@ impl SheetEngine {
     /// in-memory engines.
     pub fn storage_failed_info(&self) -> Option<(String, u64)> {
         self.durable.as_ref().and_then(|s| s.storage_failed_info())
-    }
-
-    /// Cap the worker threads used for wave-parallel recomputation
-    /// (clamped to ≥ 1; 1 disables spawning). Defaults to the machine's
-    /// available parallelism.
-    pub fn set_recompute_threads(&mut self, threads: usize) {
-        self.recompute_threads = threads.max(1);
     }
 
     /// Cells recomputed since this engine was created (including cells
@@ -334,10 +318,8 @@ impl SheetEngine {
                 engine.register_formula(addr, expr, src);
             }
         }
-        // 3. The restored state matches the image byte-for-byte — unless
-        //    the image is a legacy format, in which case everything must
-        //    re-serialize into the region-keyed layout.
-        if recovered.posmap.is_some() && recovered.migrated_from.is_none() {
+        // 3. The restored state matches the image byte-for-byte.
+        if recovered.posmap.is_some() {
             engine.sheet.clear_dirty();
         }
         // 4. Replay the committed op tail through the normal op paths
@@ -968,8 +950,8 @@ impl SheetEngine {
     }
 
     /// Re-evaluate the given seeds' dependents: in topological waves, with
-    /// same-shape fill-down runs batch-evaluated and wide waves fanned out
-    /// across the worker budget. Results are written back in wave order,
+    /// same-shape fill-down runs batch-evaluated and the rest walked per
+    /// cell. Results are written back in wave order,
     /// so output is identical to the sequential per-cell walk
     /// ([`SheetEngine::set_scalar_recompute`] retains that walk as the
     /// differential oracle).
@@ -1090,54 +1072,18 @@ impl SheetEngine {
                 }
             }
         }
-        // 2. Everything else: per-cell tree walks, fanned out across the
-        //    worker budget when the wave is wide enough to pay for spawns.
+        // 2. Everything else: per-cell tree walks.
         let rest: Vec<usize> = (0..wave.len()).filter(|&i| !batched[i]).collect();
         if let Some(obs) = self.obs.as_ref().filter(|o| o.enabled()) {
             obs.batch_evals.add((wave.len() - rest.len()) as u64);
             obs.scalar_evals.add(rest.len() as u64);
         }
-        let threads = self.recompute_threads.min(rest.len());
-        if threads > 1 && rest.len() >= PAR_MIN {
-            let sheet = &self.sheet;
-            let parsed = &self.parsed;
-            let evaluator = self.evaluator;
-            let chunk = rest.len().div_ceil(threads);
-            let mut partials: Vec<Vec<(usize, Option<CellValue>)>> = Vec::new();
-            std::thread::scope(|s| {
-                let handles: Vec<_> = rest
-                    .chunks(chunk)
-                    .map(|ids| {
-                        s.spawn(move || {
-                            let reader = SheetOnlyReader { sheet };
-                            ids.iter()
-                                .map(|&i| {
-                                    let value = parsed
-                                        .get(&wave[i])
-                                        .map(|info| evaluator.eval(&info.expr, &reader));
-                                    (i, value)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    partials.push(h.join().expect("recompute worker panicked"));
-                }
-            });
-            for part in partials {
-                for (i, value) in part {
-                    results[i] = value;
-                }
-            }
-        } else {
-            let reader = SheetOnlyReader { sheet: &self.sheet };
-            for &i in &rest {
-                let Some(info) = self.parsed.get(&wave[i]) else {
-                    continue;
-                };
-                results[i] = Some(self.evaluator.eval(&info.expr, &reader));
-            }
+        let reader = SheetOnlyReader { sheet: &self.sheet };
+        for &i in &rest {
+            let Some(info) = self.parsed.get(&wave[i]) else {
+                continue;
+            };
+            results[i] = Some(self.evaluator.eval(&info.expr, &reader));
         }
         // 3. Deterministic write-back in wave (address) order.
         for (i, &addr) in wave.iter().enumerate() {

@@ -3,11 +3,11 @@
 //!
 //! The oracle is a [`SheetEngine`] forced onto the retained scalar path
 //! (`set_scalar_recompute`): Kahn order, one tree walk per cell, no
-//! batching, no threads. Variants run the wave pipeline at 1/2/4/8
-//! worker threads. Random formula tapes — fill-down sliding aggregates
-//! (the batch path), scalar layers, chains, cycles, error producers —
-//! are replayed into every engine, and full sheet snapshots (values
-//! *and* stored formula text) must stay bit-identical throughout.
+//! batching. The engine under test runs the wave pipeline. Random
+//! formula tapes — fill-down sliding aggregates (the batch path), scalar
+//! layers, chains, cycles, error producers — are replayed into both, and
+//! full sheet snapshots (values *and* stored formula text) must stay
+//! bit-identical throughout.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,7 +17,6 @@ use dataspread_grid::{Cell, CellAddr, Rect};
 
 const ROWS: u32 = 48;
 const COLS: u32 = 8;
-const THREADS: &[usize] = &[1, 2, 4, 8];
 
 fn col_name(c: u32) -> char {
     (b'A' + c as u8) as char
@@ -112,81 +111,56 @@ fn snapshot(e: &SheetEngine) -> Vec<(CellAddr, Cell)> {
 }
 
 #[test]
-fn random_tapes_match_scalar_oracle_at_every_thread_count() {
+fn random_tapes_match_scalar_oracle() {
     for seed in 0..4u64 {
         let mut oracle = SheetEngine::new();
         oracle.set_scalar_recompute(true);
-        let mut variants: Vec<SheetEngine> = THREADS
-            .iter()
-            .map(|&t| {
-                let mut e = SheetEngine::new();
-                e.set_recompute_threads(t);
-                e
-            })
-            .collect();
+        let mut wave = SheetEngine::new();
         let ops = tape(0xFA12_0001u64 + seed, 260);
         for (step, (addr, input)) in ops.iter().enumerate() {
             oracle.update_cell(*addr, input).expect("oracle update");
-            for e in &mut variants {
-                e.update_cell(*addr, input).expect("variant update");
-            }
+            wave.update_cell(*addr, input).expect("wave update");
             // Full-snapshot comparison is O(cells); sample it.
             if step % 20 == 19 {
-                let want = snapshot(&oracle);
-                for (e, &t) in variants.iter().zip(THREADS) {
-                    assert_eq!(
-                        snapshot(e),
-                        want,
-                        "seed {seed} step {step} threads {t}: snapshot diverged"
-                    );
-                }
+                assert_eq!(
+                    snapshot(&wave),
+                    snapshot(&oracle),
+                    "seed {seed} step {step}: snapshot diverged"
+                );
             }
         }
         // A bulk recompute-everything pass must agree too (this is the
         // path the bench drives: maximally wide waves).
         oracle.recompute_all().expect("oracle recompute_all");
-        let want = snapshot(&oracle);
-        for (e, &t) in variants.iter_mut().zip(THREADS) {
-            e.recompute_all().expect("variant recompute_all");
-            assert_eq!(snapshot(e), want, "seed {seed} threads {t}: bulk diverged");
-        }
+        wave.recompute_all().expect("wave recompute_all");
+        assert_eq!(
+            snapshot(&wave),
+            snapshot(&oracle),
+            "seed {seed}: bulk diverged"
+        );
     }
 }
 
 #[test]
-fn wide_scalar_wave_runs_identically_under_threads() {
-    // 200 same-wave scalar formulas (no batchable shape) force the
-    // scoped-thread fan-out; results must match the scalar walk exactly.
+fn wide_scalar_wave_matches_scalar_oracle() {
+    // 200 same-wave scalar formulas (no batchable shape) drive the wide
+    // per-cell path; results must match the scalar walk exactly.
     let mut oracle = SheetEngine::new();
     oracle.set_scalar_recompute(true);
-    let mut engines: Vec<SheetEngine> = THREADS
-        .iter()
-        .map(|&t| {
-            let mut e = SheetEngine::new();
-            e.set_recompute_threads(t);
-            e
-        })
-        .collect();
+    let mut wave = SheetEngine::new();
     for r in 0..200u32 {
         let data = format!("{}.5", r % 17);
         let formula = format!("=A{}*3+1", r + 1);
-        oracle.update_cell(CellAddr::new(r, 0), &data).unwrap();
-        oracle.update_cell(CellAddr::new(r, 1), &formula).unwrap();
-        for e in &mut engines {
+        for e in [&mut oracle, &mut wave] {
             e.update_cell(CellAddr::new(r, 0), &data).unwrap();
             e.update_cell(CellAddr::new(r, 1), &formula).unwrap();
         }
     }
     oracle.recompute_all().unwrap();
-    for e in &mut engines {
-        e.recompute_all().unwrap();
-    }
-    let want = oracle.get_cells(Rect::new(0, 0, 220, 4));
-    for (e, &t) in engines.iter().zip(THREADS) {
-        assert_eq!(
-            e.get_cells(Rect::new(0, 0, 220, 4)),
-            want,
-            "threads {t}: wide wave diverged"
-        );
-    }
+    wave.recompute_all().unwrap();
+    assert_eq!(
+        wave.get_cells(Rect::new(0, 0, 220, 4)),
+        oracle.get_cells(Rect::new(0, 0, 220, 4)),
+        "wide wave diverged"
+    );
 }

@@ -13,6 +13,7 @@
 
 mod common;
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use common::{apply, tape};
@@ -282,9 +283,9 @@ fn garbage_wal_tail_is_ignored_but_garbage_image_is_rejected() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-// ----------------------------------------------------- v1 migration --
+// ------------------------------------------------- v1 formats rejected --
 
-/// Hand-built PR 2-era (format version 1) image: one header page (magic,
+/// Hand-built format-version-1 image: one header page (magic,
 /// version, posmap, payload length, payload CRC), then the whole-sheet
 /// cell payload chunked into pages 1.. .
 fn v1_image_bytes(cells: &[(u32, u32, f64)]) -> Vec<u8> {
@@ -326,59 +327,46 @@ fn v1_wal_bytes(row: u32, col: u32, input: &str) -> Vec<u8> {
     wal
 }
 
+/// Every file in a store directory, by name, with its bytes.
+fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect()
+}
+
+fn v1_image() -> Vec<u8> {
+    v1_image_bytes(&[(0, 0, 11.0), (3, 2, 7.5), (100, 0, -4.0)])
+}
+
 #[test]
-fn v1_snapshot_and_wal_open_via_the_migration_path() {
-    let dir = temp_dir("v1-migrate");
+fn v1_image_and_wal_fail_open_and_stay_intact() {
+    let dir = temp_dir("v1-both");
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(
-        image_path(&dir),
-        v1_image_bytes(&[(0, 0, 11.0), (3, 2, 7.5), (100, 0, -4.0)]),
-    )
-    .unwrap();
+    std::fs::write(image_path(&dir), v1_image()).unwrap();
     std::fs::write(wal_path(&dir), v1_wal_bytes(1, 0, "42")).unwrap();
+    let before = dir_bytes(&dir);
 
-    // Open must load the legacy image, keep its posmap scheme, and replay
-    // the v1 op tail.
-    let a = |s: &str| CellAddr::parse_a1(s).unwrap();
-    let engine = SheetEngine::open(&dir).unwrap();
-    assert_eq!(
-        engine.storage().posmap_kind(),
-        dataspread_engine::PosMapKind::Hierarchical
-    );
-    assert_eq!(
-        engine.value(a("A1")),
-        dataspread_grid::CellValue::Number(11.0)
-    );
-    assert_eq!(
-        engine.value(a("C4")),
-        dataspread_grid::CellValue::Number(7.5)
-    );
-    assert_eq!(
-        engine.value(a("A101")),
-        dataspread_grid::CellValue::Number(-4.0)
-    );
-    assert_eq!(
-        engine.value(a("A2")),
-        dataspread_grid::CellValue::Number(42.0)
-    );
-    drop(engine);
+    // An unsupported version is an error, never a fresh store: the old
+    // files must survive the failed open byte for byte.
+    assert!(SheetEngine::open(&dir).is_err());
+    assert_eq!(dir_bytes(&dir), before);
+    std::fs::remove_dir_all(&dir).ok();
+}
 
-    // The open folded a checkpoint, rewriting the file in the v2 layout.
-    let image = std::fs::read(image_path(&dir)).unwrap();
-    assert_eq!(&image[..4], b"DSIM");
-    assert_eq!(u32::from_le_bytes(image[4..8].try_into().unwrap()), 2);
+#[test]
+fn v1_image_under_a_current_wal_fails_open_and_stays_intact() {
+    let dir = temp_dir("v1-image");
+    drop(SheetEngine::open(&dir).unwrap()); // current-format WAL + image
+    std::fs::write(image_path(&dir), v1_image()).unwrap();
+    let before = dir_bytes(&dir);
 
-    // A second open reads the migrated image natively.
-    let engine = SheetEngine::open(&dir).unwrap();
-    assert_eq!(
-        engine.value(a("A2")),
-        dataspread_grid::CellValue::Number(42.0)
-    );
-    assert_eq!(
-        engine.value(a("A101")),
-        dataspread_grid::CellValue::Number(-4.0)
-    );
-    assert_eq!(engine.persistence_stats().unwrap().ops_since_checkpoint, 0);
+    assert!(SheetEngine::open(&dir).is_err());
+    assert_eq!(dir_bytes(&dir), before);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -6,7 +6,6 @@ use dataspread_engine::{OptimizeAlgorithm, PosMapKind, SheetEngine};
 use dataspread_grid::value::CellError;
 use dataspread_grid::{CellAddr, CellValue, Rect};
 use dataspread_hybrid::{CostModel, OptimizerOptions};
-use dataspread_relstore::{Database, Datum};
 
 fn a(s: &str) -> CellAddr {
     CellAddr::parse_a1(s).unwrap()
@@ -96,30 +95,6 @@ fn error_propagation_through_storage() {
     // Fixing the source heals the chain.
     e.update_cell_a1("A1", "=4/2").unwrap();
     assert_eq!(e.value(a("A2")), CellValue::Number(3.0));
-}
-
-#[test]
-fn linked_table_survives_database_save_load() {
-    let mut e = SheetEngine::new();
-    e.update_cell_a1("A1", "id").unwrap();
-    e.update_cell_a1("B1", "qty").unwrap();
-    for i in 0..5 {
-        e.update_cell(CellAddr::new(1 + i, 0), &format!("{}", i + 1))
-            .unwrap();
-        e.update_cell(CellAddr::new(1 + i, 1), &format!("{}", (i + 1) * 10))
-            .unwrap();
-    }
-    e.link_table(Rect::parse_a1("A1:B6").unwrap(), "orders")
-        .unwrap();
-
-    let path = std::env::temp_dir().join(format!("ds-scenario-{}.db", std::process::id()));
-    e.database().read().save(&path).unwrap();
-    let restored = Database::load(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    assert_eq!(restored.table("orders").unwrap().row_count(), 5);
-    // SQL over the restored database sees the same data.
-    let r = dataspread_rel::execute_sql(&restored, "SELECT SUM(qty) FROM orders", &[]).unwrap();
-    assert_eq!(r.rows[0][0], Datum::Float(10.0 + 20.0 + 30.0 + 40.0 + 50.0));
 }
 
 #[test]

@@ -328,9 +328,9 @@ impl DependencyGraph {
     /// The same affected set as [`DependencyGraph::recompute_plan`], grouped
     /// into dependency-depth waves (level-synchronous Kahn): a formula lands
     /// in the first wave after every in-subgraph formula it reads. Members
-    /// of one wave never read each other, so the engine evaluates a wave's
-    /// cells concurrently and writes the results back in wave order —
-    /// producing the same values as the sequential plan.
+    /// of one wave never read each other, so the engine evaluates a whole
+    /// wave (batch sweeps included) before writing the results back in
+    /// wave order — producing the same values as the sequential plan.
     pub fn recompute_waves(&self, seeds: &[CellAddr]) -> WavePlan {
         let AffectedSubgraph {
             nodes,

@@ -110,7 +110,8 @@ fn compare_plans(indexed: &DependencyGraph, scan: &ScanDependencyGraph, rng: &mu
 
 /// The wave plan must cover exactly the sequential plan's affected set and
 /// cycle set, and every read edge must cross strictly forward in wave
-/// index — the invariant that makes per-wave parallel evaluation safe.
+/// index — the invariant that makes evaluating a whole wave before its
+/// write-back safe.
 fn assert_valid_waves(
     scan: &ScanDependencyGraph,
     waves: &dataspread_formula::WavePlan,

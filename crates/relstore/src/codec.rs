@@ -1,11 +1,11 @@
 //! Shared length-prefixed little-endian byte codec.
 //!
-//! Every on-disk format in the workspace — the database snapshot
-//! ([`crate::persist`]), tuple encoding ([`crate::datum`]), and the
-//! engine's WAL records and checkpoint image (`dataspread-engine`'s
-//! `durable` module) — frames its primitives the same way: fixed-width
-//! little-endian integers and `u32`-length-prefixed UTF-8 strings. This
-//! module is the single implementation of that framing, next to the shared
+//! Every byte format in the workspace — tuple encoding
+//! ([`crate::datum`]), the engine's WAL records and checkpoint image
+//! (`dataspread-engine`'s `durable` module), and the wire protocol —
+//! frames its primitives the same way: fixed-width little-endian integers
+//! and `u32`-length-prefixed UTF-8 strings. This module is the single
+//! implementation of that framing, next to the shared
 //! [`crc32`](crate::wal::crc32): `put_*` writers that append to a byte
 //! buffer, and a bounds-checked [`Reader`] that refuses to read past the
 //! end of its slice (truncated or hostile input surfaces as

@@ -53,10 +53,6 @@ impl Database {
         }
     }
 
-    pub fn config(&self) -> &StorageConfig {
-        &self.config
-    }
-
     /// Monotonic change counter: unchanged value between two reads means no
     /// mutable access happened in between (the converse may not hold — a
     /// `table_mut` that writes nothing still bumps it).
@@ -93,17 +89,6 @@ impl Database {
         table.note_change(self.change_count);
         self.tables.insert(name.to_string(), table);
         Ok(self.tables.get_mut(name).expect("just inserted"))
-    }
-
-    /// Register a fully-built table (snapshot restore path).
-    pub fn insert_table(&mut self, mut table: Table) -> Result<(), StoreError> {
-        if self.tables.contains_key(table.name()) {
-            return Err(StoreError::TableExists(table.name().to_string()));
-        }
-        self.change_count += 1;
-        table.note_change(self.change_count);
-        self.tables.insert(table.name().to_string(), table);
-        Ok(())
     }
 
     pub fn drop_table(&mut self, name: &str) -> Result<Table, StoreError> {

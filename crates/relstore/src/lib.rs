@@ -15,14 +15,14 @@
 //! per-table, per-row, per-column, and per-cell overheads — so that storage
 //! comparisons between data models (ROM / COM / RCV / hybrids) transfer.
 //!
-//! Durability comes in two tiers:
+//! Durability is page-granular: [`pager`] does fixed-size page I/O
+//! through an LRU cache with dirty tracking, and [`wal`] is a CRC-framed
+//! write-ahead log whose fsync-point is the commit point. The engine crate
+//! composes the two into crash-recoverable sheet storage.
 //!
-//! * [`persist`] — whole-database snapshots (atomic temp-file + rename),
-//!   the import/export path;
-//! * [`pager`] + [`wal`] — page-granular persistence: fixed-size page I/O
-//!   through an LRU cache with dirty tracking, and a CRC-framed write-ahead
-//!   log whose fsync-point is the commit point. The engine crate composes
-//!   the two into crash-recoverable sheet storage.
+//! The relational [`db::Database`] itself lives in memory: it is not
+//! persisted, and a linked table's cells persist through the sheet image
+//! as plain values.
 
 pub mod btree;
 pub mod codec;
@@ -32,7 +32,6 @@ pub mod error;
 pub mod heap;
 pub mod page;
 pub mod pager;
-pub mod persist;
 pub mod schema;
 pub mod table;
 pub mod vfs;

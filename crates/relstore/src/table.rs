@@ -49,23 +49,6 @@ impl Table {
         self
     }
 
-    /// Reassemble a table from persisted parts.
-    pub fn from_parts(name: &str, schema: Schema, heap: HeapFile, row_count: u64) -> Self {
-        Table {
-            name: name.to_string(),
-            schema,
-            heap,
-            row_count,
-            max_columns: None,
-            last_change: 0,
-        }
-    }
-
-    /// Persistence view of the heap pages.
-    pub fn heap_pages(&self) -> &[crate::page::Page] {
-        self.heap.pages()
-    }
-
     pub fn name(&self) -> &str {
         &self.name
     }

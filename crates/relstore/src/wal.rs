@@ -29,9 +29,6 @@
 //! leaves stale segments that the next open rejects (epoch mismatch)
 //! instead of replaying records from before the checkpoint.
 //!
-//! Version-1 logs (8-byte header, single segment) are still readable; the
-//! first truncate rewrites them as version 2.
-//!
 //! Payload semantics are the caller's business; this layer only frames and
 //! checksums. The engine logs logical sheet ops plus checkpoint undo-page
 //! images (see `dataspread-engine`'s `durable` module).
@@ -49,8 +46,6 @@ const MAGIC: &[u8; 4] = b"DSWL";
 const VERSION: u32 = 2;
 /// Size of the version-2 file header preceding the first record.
 pub const WAL_HEADER_LEN: u64 = 24;
-/// Size of the legacy version-1 header (magic + version only).
-pub const WAL_V1_HEADER_LEN: u64 = 8;
 /// Per-record framing overhead (length + checksum).
 pub const WAL_RECORD_OVERHEAD: u64 = 8;
 /// Upper bound on a single record payload. Enforced on append — a larger
@@ -162,8 +157,6 @@ pub struct Wal {
     file: Box<dyn VfsFile>,
     epoch: u64,
     seg_index: u64,
-    /// Header length of the current segment (8 for a legacy v1 base).
-    seg_header_len: u64,
     /// Valid bytes in the current segment (header included).
     seg_len: u64,
     /// Valid bytes across all sealed (earlier) segments.
@@ -212,35 +205,36 @@ impl Wal {
         let mut file = fs.open(&base, OpenMode::Open)?;
         let bytes = file.read_to_end_vec()?;
 
-        // Decide what the base segment is: fresh, legacy v1, or v2.
-        let parsed: Option<(u64, u64)> = if bytes.len() < WAL_V1_HEADER_LEN as usize {
+        // Decide what the base segment is: fresh, or a header's epoch.
+        // Shorter than magic + version means a crash before the header
+        // finished, not a foreign file.
+        let parsed: Option<u64> = if bytes.len() < 8 {
             None // fresh (or torn-at-birth) log
         } else {
             if &bytes[..4] != MAGIC {
                 return Err(StoreError::Corrupt("wal: bad magic".into()));
             }
             let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-            match version {
-                1 => Some((0, WAL_V1_HEADER_LEN)),
-                2 => {
-                    if bytes.len() < WAL_HEADER_LEN as usize {
-                        None // torn mid-header (e.g. during truncate)
-                    } else {
-                        let epoch = u64::from_le_bytes(bytes[8..16].try_into().expect("8"));
-                        let idx = u64::from_le_bytes(bytes[16..24].try_into().expect("8"));
-                        if idx != 0 {
-                            return Err(StoreError::Corrupt(
-                                "wal: base file carries a non-zero segment index".into(),
-                            ));
-                        }
-                        Some((epoch, WAL_HEADER_LEN))
-                    }
+            if version != VERSION {
+                return Err(StoreError::Corrupt(format!(
+                    "wal: unsupported version {version}"
+                )));
+            }
+            if bytes.len() < WAL_HEADER_LEN as usize {
+                None // torn mid-header (e.g. during truncate)
+            } else {
+                let epoch = u64::from_le_bytes(bytes[8..16].try_into().expect("8"));
+                let idx = u64::from_le_bytes(bytes[16..24].try_into().expect("8"));
+                if idx != 0 {
+                    return Err(StoreError::Corrupt(
+                        "wal: base file carries a non-zero segment index".into(),
+                    ));
                 }
-                v => return Err(StoreError::Corrupt(format!("wal: unsupported version {v}"))),
+                Some(epoch)
             }
         };
 
-        let Some((epoch, header_len)) = parsed else {
+        let Some(epoch) = parsed else {
             // Fresh base. Pick an epoch above any stale numbered segment so
             // leftovers of an interrupted truncate can never be replayed.
             let mut stale_max: Option<u64> = None;
@@ -263,7 +257,6 @@ impl Wal {
                 file,
                 epoch,
                 seg_index: 0,
-                seg_header_len: WAL_HEADER_LEN,
                 seg_len: WAL_HEADER_LEN,
                 sealed_len: 0,
                 segments: 1,
@@ -276,9 +269,8 @@ impl Wal {
 
         // Scan the base, then walk the numbered chain while it is intact.
         let mut recovered = Vec::new();
-        let (valid, clean) = scan_records(&bytes, header_len as usize, &mut recovered);
+        let (valid, clean) = scan_records(&bytes, WAL_HEADER_LEN as usize, &mut recovered);
         let mut last_idx = 0u64;
-        let mut last_header = header_len;
         let mut last_valid = valid as u64;
         let mut sealed_len = 0u64;
         let mut torn = !clean;
@@ -299,7 +291,6 @@ impl Wal {
             let (valid, clean) = scan_records(&seg_bytes, WAL_HEADER_LEN as usize, &mut recovered);
             sealed_len += last_valid;
             last_idx = idx;
-            last_header = WAL_HEADER_LEN;
             last_valid = valid as u64;
             torn = !clean;
             idx += 1;
@@ -322,7 +313,6 @@ impl Wal {
             file,
             epoch,
             seg_index: last_idx,
-            seg_header_len: last_header,
             seg_len: last_valid,
             sealed_len,
             segments: last_idx + 1,
@@ -362,7 +352,6 @@ impl Wal {
         self.sealed_len += self.seg_len;
         self.file = next;
         self.seg_index = idx;
-        self.seg_header_len = WAL_HEADER_LEN;
         self.seg_len = WAL_HEADER_LEN;
         self.segments += 1;
         Ok(())
@@ -391,7 +380,7 @@ impl Wal {
         }
         if let Some(limit) = self.segment_limit {
             // Only rotate past a record boundary (never an empty segment).
-            if self.seg_len >= limit && self.seg_len > self.seg_header_len {
+            if self.seg_len >= limit && self.seg_len > WAL_HEADER_LEN {
                 self.rotate()?;
             }
         }
@@ -449,7 +438,6 @@ impl Wal {
         self.file.sync_data()?;
         delete_segments_from(self.fs.as_ref(), &self.base, 1);
         self.seg_index = 0;
-        self.seg_header_len = WAL_HEADER_LEN;
         self.seg_len = WAL_HEADER_LEN;
         self.sealed_len = 0;
         self.segments = 1;
@@ -1121,10 +1109,10 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_header_still_opens() {
+    fn v1_header_is_rejected_and_left_intact() {
         let path = temp("v1");
         cleanup(&path);
-        // A PR 2-era log: 8-byte header, then one framed record.
+        // A version-1 log: 8-byte header, then one framed record.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
         bytes.extend_from_slice(&1u32.to_le_bytes());
@@ -1133,14 +1121,9 @@ mod tests {
         bytes.extend_from_slice(&crc32(payload).to_le_bytes());
         bytes.extend_from_slice(payload);
         std::fs::write(&path, &bytes).unwrap();
-        let mut wal = Wal::open(&path).unwrap();
-        assert_eq!(wal.take_recovered(), vec![payload.to_vec()]);
-        // Appends keep working; the first truncate upgrades the header.
-        wal.append(b"more").unwrap();
-        wal.truncate().unwrap();
-        drop(wal);
-        let header = std::fs::read(&path).unwrap();
-        assert_eq!(header.len() as u64, WAL_HEADER_LEN);
+        // Unsupported, not fresh: the open fails and wipes nothing.
+        assert!(matches!(Wal::open(&path), Err(StoreError::Corrupt(_))));
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         cleanup(&path);
     }
 

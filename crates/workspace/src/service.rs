@@ -39,9 +39,6 @@ pub struct WorkspaceConfig {
     /// Auto-checkpoint every N logged ops on each sheet (engine default:
     /// disabled).
     pub auto_checkpoint_ops: Option<u64>,
-    /// Worker threads for each sheet engine's wave recomputation
-    /// (`None` = one per available core).
-    pub recompute_threads: Option<usize>,
     /// Route every sheet's file I/O through this filesystem instead of
     /// the real one — the hook fault-injection tests use to script
     /// storage failures (`None` = the real OS filesystem).
@@ -66,7 +63,6 @@ impl Default for WorkspaceConfig {
         WorkspaceConfig {
             commit_mode: CommitMode::default(),
             auto_checkpoint_ops: None,
-            recompute_threads: None,
             storage_fs: None,
             metrics_enabled: true,
             slow_op_ns: None,
@@ -80,7 +76,6 @@ impl std::fmt::Debug for WorkspaceConfig {
         f.debug_struct("WorkspaceConfig")
             .field("commit_mode", &self.commit_mode)
             .field("auto_checkpoint_ops", &self.auto_checkpoint_ops)
-            .field("recompute_threads", &self.recompute_threads)
             .field("storage_fs", &self.storage_fs.as_ref().map(|_| "custom"))
             .field("metrics_enabled", &self.metrics_enabled)
             .finish()
@@ -696,9 +691,6 @@ impl Session {
         };
         if let Some(ops) = self.inner.config.auto_checkpoint_ops {
             engine.set_auto_checkpoint(Some(ops));
-        }
-        if let Some(threads) = self.inner.config.recompute_threads {
-            engine.set_recompute_threads(threads);
         }
         engine.set_obs(EngineObs::new(&self.inner.metrics, name));
         let wal = engine.commit_wal();
